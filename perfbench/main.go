@@ -2,7 +2,7 @@
 // workload through autocat's public entry points, checks the outputs,
 // and prints every metric as one JSON line (see README.md).
 //
-//	go run . --workload rl-first-reliable --seed 1 --seconds 30 --trace 0
+//	go run . --workload rl-first-reliable --seed 1 --seconds 36 --trace 0
 //
 // With --trace 0 the result carries the end-to-end metrics; with
 // --trace 1 the same workload runs with spans recorded around the calls
@@ -163,7 +163,7 @@ type resultJSON struct {
 func main() {
 	name := flag.String("workload", "", "workload: rl-first-reliable, search-campaign or serve-mixed")
 	seed := flag.Int64("seed", 1, "workload seed: every input is generated from it")
-	seconds := flag.Int("seconds", 30, "measured run length the workload is sized for")
+	seconds := flag.Int("seconds", 36, "measured run length the workload is sized for")
 	trace := flag.Int("trace", 0, "1 records spans and reports the per-layer metrics")
 	flag.Parse()
 	if err := run(os.Stdout, *name, *seed, *seconds, *trace == 1); err != nil {

@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload rl-first-reliable --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload rl-first-reliable --seed 1 --seconds 36 --trace 0
 
 The Go toolchain builds perfbench/ (a module of its own that replaces
 `autocat` with the repository root) into .bench_build/, with the build
@@ -73,7 +73,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", required=True, choices=sorted(HEADLINE))
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=30)
+    p.add_argument("--seconds", type=int, default=36)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--overhead", action="store_true",
                    help="run untraced, then traced, and report the tracing overhead")

@@ -31,8 +31,8 @@ var (
 const (
 	// searchReplicateSeconds is about what one replicate of the grid
 	// takes on 2 vCPUs; the run makes one replicate per that many
-	// seconds of run length.
-	searchReplicateSeconds = 5.0
+	// seconds of run length (6 at 36 s).
+	searchReplicateSeconds = 5.7
 	// searchLatencyLimit is the goodput limit on one campaign job.
 	searchLatencyLimit = time.Second
 	searchSetupReps    = 41

@@ -23,13 +23,11 @@ import (
 const (
 	// serveRate is the offered request rate; every serveGetEvery-th
 	// request is a catalog read, the rest are campaign submissions, and
-	// every second submission repeats an earlier spec. Reads and cached
-	// repeats are fast, fresh submissions and repeats that wait for a
-	// compute token are slow; with a read every third request the fast
-	// share stays clear of one half, so the median does not flip between
-	// the two.
-	serveRate     = 6.0
-	serveGetEvery = 3
+	// every second submission repeats an earlier spec. At 36 s a run
+	// makes 101 fresh submissions, enough for a p90 with ten beyond it;
+	// one arrives every ~130 ms, well after the previous one is done.
+	serveRate     = 7.5
+	serveGetEvery = 4
 	// serveLatencyLimit is the goodput limit on one request, timed from
 	// when it was due.
 	serveLatencyLimit = 1500 * time.Millisecond
@@ -53,20 +51,24 @@ type serveReq struct {
 	err                                        error
 }
 
-// serveSpec is the i-th fresh submission: four search jobs on one
-// geometry and attacker range, two replay-deterministic policies by two
-// index-preserving defenses. Geometry, attacker range and policy pair
-// rotate, so every run submits the same mix; the workload seed sets the
-// env seeds, which no two fresh specs share.
+// serveGeometries are a fresh submission's caches, the largest first so
+// that two workers finish its three jobs in about the largest one's
+// time.
+var serveGeometries = []autocat.CacheConfig{searchGeometries[0], searchGeometries[3], searchGeometries[2]}
+
+// serveSpec is the i-th fresh submission: three search jobs, one per
+// serveGeometries entry, with the attacker range 1-4, a policy that
+// rotates through LRU/PLRU/RRIP and an env seed no other fresh spec
+// shares. Every fresh spec has the same shape, so fresh latencies form
+// one cluster (about 55 ms on 2 vCPUs) whose median is its compute, not
+// the wake-up jitter a shared host adds to every request. The workload
+// seed sets the env seeds.
 func serveSpec(seed int64, i int) autocat.CampaignSpec {
-	pairs := [][]autocat.PolicyKind{{autocat.LRU, autocat.PLRU}, {autocat.PLRU, autocat.RRIP}, {autocat.LRU, autocat.RRIP}}
-	per := len(searchGeometries) * len(searchAttackers)
 	return autocat.CampaignSpec{
 		Name:           fmt.Sprintf("perfbench-serve-%d", i),
-		Caches:         []autocat.CacheConfig{searchGeometries[i%len(searchGeometries)]},
-		Policies:       pairs[i/per%len(pairs)],
-		Defenses:       []string{autocat.CampaignDefenseNone, autocat.CampaignDefensePartition},
-		Attackers:      []autocat.CampaignAddrRange{searchAttackers[i/len(searchGeometries)%len(searchAttackers)]},
+		Caches:         serveGeometries,
+		Policies:       []autocat.PolicyKind{searchPolicies[i%3]},
+		Attackers:      []autocat.CampaignAddrRange{searchAttackers[1]},
 		Victims:        []autocat.CampaignAddrRange{{Lo: 0, Hi: 0}},
 		Explorers:      []string{autocat.CampaignExplorerSearch},
 		Seeds:          []int64{1000*seed + int64(i) + 1},
@@ -228,13 +230,17 @@ func runServe(ctx context.Context, o opts) (*outcome, error) {
 
 	// Output checks: every admitted stream ends in a clean done event,
 	// catalog reads succeed, and a repeated spec returns the sequences
-	// its first completed submission returned. Latency covers every
-	// request, timed from when it was due.
+	// its first completed submission returned. Every request is timed
+	// from when it was due; the latency percentiles are those of the
+	// fresh submissions, the requests that run jobs. Reads and cached
+	// repeats answer in a millisecond or two, which on a shared host is
+	// mostly wake-up jitter, and they count in goodput.
 	first := map[int]*serveReq{}
 	var lat, admit, firstJob, tfr []float64
 	posts, refused, repeats, good, jobs, attacks := 0, 0, 0, 0, 0, 0
 	for _, r := range reqs {
 		out.attempted++
+		fresh := !r.get && !r.repeat
 		if !r.get {
 			posts++
 			if r.repeat {
@@ -244,7 +250,9 @@ func runServe(ctx context.Context, o opts) (*outcome, error) {
 		if r.refused {
 			// A refused request is never served within the run.
 			refused++
-			lat = append(lat, float64(o.seconds)*1e3)
+			if fresh {
+				lat = append(lat, float64(o.seconds)*1e3)
+			}
 			continue
 		}
 		if r.err != nil {
@@ -253,7 +261,9 @@ func runServe(ctx context.Context, o opts) (*outcome, error) {
 			continue
 		}
 		l := r.done - r.due
-		lat = append(lat, float64(l)/1e6)
+		if fresh {
+			lat = append(lat, float64(l)/1e6)
+		}
 		if l <= serveLatencyLimit {
 			good++
 		}
@@ -264,7 +274,7 @@ func runServe(ctx context.Context, o opts) (*outcome, error) {
 		attacks += r.attacks
 		admit = append(admit, float64(r.started-r.sent)/1e6)
 		firstJob = append(firstJob, float64(r.firstJob-r.sent)/1e6)
-		if r.firstAttack > 0 && !r.repeat {
+		if r.firstAttack > 0 && fresh {
 			tfr = append(tfr, (r.firstAttack - r.due).Seconds())
 		}
 		if f, ok := first[r.spec]; !ok {
@@ -275,7 +285,7 @@ func runServe(ctx context.Context, o opts) (*outcome, error) {
 		}
 	}
 	n := len(reqs)
-	out.set("time_to_first_reliable_s", quantile(tfr, 0.5), len(tfr))
+	out.set("time_to_first_reliable_s", mean(tfr), len(tfr))
 	out.set("steps_to_first_reliable", ratio(delta.counter("env.steps_total"), float64(attacks)), attacks)
 	out.set("jobs_per_s", float64(jobs)/wall.Seconds(), jobs)
 	out.set("attacks_found", float64(attacks), jobs)

@@ -59,11 +59,11 @@ func TestTracingKeepsLearning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a policy; skipped in -short mode")
 	}
-	plain, err := train(opts{}, rlScenarios[0], rlSeed(0, 0), 0)
+	plain, err := train(opts{}, rlScenarios[0], rlSuite[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := train(opts{tr: newTracer()}, rlScenarios[0], rlSeed(0, 0), 0)
+	traced, err := train(opts{tr: newTracer()}, rlScenarios[0], rlSuite[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func TestTracingKeepsLearning(t *testing.T) {
 }
 
 // TestCrossCheckHotpath trains pp-onebit on the suite seeds 101, 202
-// and 303 (workload seed 0) and checks that the steps sum to the
-// plain_steps recorded for pp-onebit in BENCH_hotpath.json: the loop
-// built from facade calls trains exactly what exp.FirstReliable trains.
+// and 303 and checks that the steps sum to the plain_steps recorded for
+// pp-onebit in BENCH_hotpath.json: the loop built from facade calls
+// trains exactly what exp.FirstReliable trains.
 func TestCrossCheckHotpath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains three policies; skipped in -short mode")
@@ -105,8 +105,8 @@ func TestCrossCheckHotpath(t *testing.T) {
 		t.Fatalf("BENCH_hotpath.json has no %s row", rlScenarios[0].name)
 	}
 	got := 0
-	for r := 0; r < 3; r++ {
-		tr, err := train(opts{}, rlScenarios[0], rlSeed(0, r), r)
+	for r := range rlSuite {
+		tr, err := train(opts{}, rlScenarios[0], rlSuite[r], r)
 		if err != nil {
 			t.Fatal(err)
 		}
