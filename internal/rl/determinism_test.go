@@ -11,10 +11,13 @@ import (
 )
 
 // TestEpochStatsKernelWorkerInvariance trains the same fixed-seed run
-// under kernel worker counts 1, 2, and NumCPU and asserts the epoch
-// statistics streams are bit-identical: execution parallelism (token
-// pool size) must never change the math. The gradient reduction
-// grouping (PPOConfig.Workers) stays fixed — it is part of the math.
+// under token capacities 1, 2, 3 and NumCPU+3 and asserts the epoch
+// statistics streams and the final network weights are bit-identical:
+// execution parallelism (token pool size, hence the update's lane count
+// and the shard→lane mapping) must never change the math. Capacity 3
+// splits the 4 shards unevenly over the lanes it may take; NumCPU+3
+// gives more lanes than CPUs. The gradient reduction grouping
+// (PPOConfig.Workers) stays fixed — it is part of the math.
 func TestEpochStatsKernelWorkerInvariance(t *testing.T) {
 	epochStatsInvariance(t, cache.Config{NumBlocks: 2, NumWays: 2, Policy: cache.LRU})
 }
@@ -32,7 +35,7 @@ func TestEpochStatsKernelWorkerInvarianceDefended(t *testing.T) {
 
 func epochStatsInvariance(t *testing.T, cc cache.Config) {
 	defer nn.SetKernelWorkers(runtime.GOMAXPROCS(0))
-	run := func() []EpochStats {
+	run := func() ([]EpochStats, []float64) {
 		var envs []*env.Env
 		for i := 0; i < 2; i++ {
 			cfg := env.Config{
@@ -67,23 +70,33 @@ func epochStatsInvariance(t *testing.T, cc cache.Config) {
 		for epoch := 1; epoch <= 2; epoch++ {
 			stats = append(stats, tr.Epoch(epoch))
 		}
-		return stats
+		var weights []float64
+		for _, p := range net.Params() {
+			weights = append(weights, p.Val...)
+		}
+		return stats, weights
 	}
 
 	var ref []EpochStats
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+	var refW []float64
+	for _, workers := range []int{1, 2, 3, runtime.NumCPU() + 3} {
 		nn.SetKernelWorkers(workers)
-		got := run()
+		got, gotW := run()
 		if ref == nil {
-			ref = got
+			ref, refW = got, gotW
 			continue
 		}
 		for i := range ref {
+			if ref[i].Episodes != got[i].Episodes || ref[i].Steps != got[i].Steps {
+				t.Fatalf("kernel workers %d: epoch %d collected %d episodes/%d steps, want %d/%d",
+					workers, i+1, got[i].Episodes, got[i].Steps, ref[i].Episodes, ref[i].Steps)
+			}
 			pairs := [][2]float64{
 				{ref[i].MeanReward, got[i].MeanReward},
 				{ref[i].MeanLength, got[i].MeanLength},
 				{ref[i].Accuracy, got[i].Accuracy},
 				{ref[i].GuessRate, got[i].GuessRate},
+				{ref[i].UselessRate, got[i].UselessRate},
 				{ref[i].Entropy, got[i].Entropy},
 				{ref[i].PolicyLoss, got[i].PolicyLoss},
 				{ref[i].ValueLoss, got[i].ValueLoss},
@@ -93,6 +106,15 @@ func epochStatsInvariance(t *testing.T, cc cache.Config) {
 					t.Fatalf("kernel workers %d: epoch %d field %d diverged: %v vs %v",
 						workers, i+1, j, p[0], p[1])
 				}
+			}
+		}
+		if len(gotW) != len(refW) {
+			t.Fatalf("kernel workers %d: %d weights, want %d", workers, len(gotW), len(refW))
+		}
+		for j := range refW {
+			if math.Float64bits(refW[j]) != math.Float64bits(gotW[j]) {
+				t.Fatalf("kernel workers %d: final weight %d diverged: %v vs %v",
+					workers, j, gotW[j], refW[j])
 			}
 		}
 	}

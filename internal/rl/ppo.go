@@ -12,7 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"autocat/internal/env"
@@ -184,7 +184,8 @@ type Trainer struct {
 	actorBufs []actorBuf      // per-actor transition + observation storage
 	batch     []transition    // reusable epoch batch
 	wscratch  []workerScratch // per-gradient-worker minibatch buffers
-	inlineW   []int           // shard indices run inline (no token free)
+	idx       []int           // reusable minibatch shuffle permutation
+	team      laneTeam        // the running update's shard lanes
 
 	// lockstep-collector state, reused across epochs
 	active  env.ActiveSet
@@ -467,8 +468,9 @@ func (t *Trainer) exploreEpsAt(epoch int) float64 {
 
 // Epoch runs one collect + update cycle and returns its statistics. The
 // epoch's own goroutine is the implicit compute consumer (a campaign
-// worker running it already holds a token); the gradient shards below
-// only take *extra* tokens, so the pool is never double-booked.
+// worker running it already holds a token; a standalone trainer takes
+// none); the update's helper lanes only take *extra* tokens, so the
+// pool is never double-booked.
 func (t *Trainer) Epoch(epochIdx int) EpochStats {
 	tm := obs.StartTimer(obs.PPOEpochNs)
 	t.curEnt = t.entCoefAt(epochIdx)
@@ -537,11 +539,22 @@ func (t *Trainer) normalizeAdvantages(batch []transition) {
 
 // update performs UpdateEpochs PPO passes over the batch and returns the
 // mean policy and value losses of the final pass.
+//
+// The whole update runs on one lane team (see startTeam): extra compute
+// tokens are taken once here, the helper lanes start once, every
+// minibatch is handed to them through a generation counter, and the
+// tokens go back when update returns — no goroutine, closure or
+// WaitGroup per minibatch.
 func (t *Trainer) update(batch []transition) (policyLoss, valueLoss float64) {
-	idx := make([]int, len(batch))
+	if cap(t.idx) < len(batch) {
+		t.idx = make([]int, len(batch))
+	}
+	idx := t.idx[:len(batch)]
 	for i := range idx {
 		idx[i] = i
 	}
+	t.startTeam()
+	defer t.stopTeam()
 	for pass := 0; pass < t.cfg.UpdateEpochs; pass++ {
 		t.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		passPL, passVL, passN := 0.0, 0.0, 0
@@ -563,6 +576,125 @@ func (t *Trainer) update(batch []transition) (policyLoss, valueLoss float64) {
 	return policyLoss, valueLoss
 }
 
+// laneTeam is the set of lanes one update's gradient shards run on.
+// Lane 0 is the updating goroutine itself; lanes 1..lanes-1 are helper
+// goroutines, each covered by one extra compute token, that live for
+// one update. Shard w always runs on lane w mod lanes.
+//
+// A minibatch is handed off by storing its operands and bumping gen;
+// each helper runs its shards and bumps done. Both counters are atomic,
+// so the operands written before a bump are visible to a lane that
+// observes it, and the shard results a lane wrote are visible to the
+// updater once it observes that lane's done.
+type laneTeam struct {
+	lanes int
+	gen   atomic.Uint32 // bumped once per handoff; helpers wait for a change
+	done  atomic.Int32  // helpers finished with the current generation
+	stop  bool          // set before the last bump: helpers exit
+
+	batch []transition // the current handoff's operands
+	mb    []int
+}
+
+// startTeam sizes and starts the lane team for one update. It takes up
+// to shards-1 extra compute tokens, then keeps only as many as shorten
+// the makespan: with 4 shards and 3 lanes one lane would still run 2
+// shards, so 2 lanes finish as soon and the second extra token goes
+// back for kernel row partitions to use. Without a spare token the team
+// is the caller alone and every shard runs inline.
+func (t *Trainer) startTeam() {
+	shards := len(t.workers)
+	lanes := 1
+	for lanes < shards && nn.TryAcquireExtraToken() {
+		lanes++
+	}
+	rounds := (shards + lanes - 1) / lanes
+	for keep := (shards + rounds - 1) / rounds; lanes > keep; lanes-- {
+		nn.ReleaseComputeToken()
+	}
+	tm := &t.team
+	tm.lanes, tm.stop = lanes, false
+	tm.done.Store(int32(lanes - 1)) // every helper idle
+	gen := tm.gen.Load()
+	for l := 1; l < lanes; l++ {
+		go t.runLane(l, gen)
+	}
+}
+
+// stopTeam ends the update's team: it stops the helper lanes, waits
+// until each has left its loop, and returns their tokens. It first lets
+// an unfinished generation drain, so a panic unwinding out of lane 0's
+// shards still leaves no helper behind.
+func (t *Trainer) stopTeam() {
+	tm := &t.team
+	tm.waitHelpers()
+	tm.stop = true
+	t.handoff()
+	for ; tm.lanes > 1; tm.lanes-- {
+		nn.ReleaseComputeToken()
+	}
+}
+
+// handoff publishes a new generation and waits until every helper lane
+// has finished with it (a one-lane team has none to wait for). Lane 0's
+// own shards run in between, so the wait is at most the slowest
+// helper's lead; helpers spin on gen the same way while the updater
+// runs a minibatch's serial section (~85 µs on the production
+// schedule). Gosched keeps a spinning lane from starving a runnable
+// goroutine when lanes outnumber CPUs.
+func (t *Trainer) handoff() {
+	tm := &t.team
+	tm.done.Store(0)
+	tm.gen.Add(1)
+	if !tm.stop {
+		t.runShards(0)
+	}
+	tm.waitHelpers()
+}
+
+// waitHelpers spins until every helper lane is done with the current
+// generation.
+func (tm *laneTeam) waitHelpers() {
+	for helpers := int32(tm.lanes - 1); tm.done.Load() < helpers; {
+		runtime.Gosched()
+	}
+}
+
+// runLane is helper lane l's loop: wait for a generation after seen,
+// run the lane's shards of the handed-off minibatch, report done.
+func (t *Trainer) runLane(l int, seen uint32) {
+	tm := &t.team
+	for {
+		g := tm.gen.Load()
+		if g == seen {
+			runtime.Gosched()
+			continue
+		}
+		seen = g
+		if tm.stop {
+			tm.done.Add(1)
+			return
+		}
+		t.runShards(l)
+		tm.done.Add(1)
+	}
+}
+
+// runShards runs lane l's shards of the current minibatch: shards l,
+// l+lanes, … . Each lane zeroes (and, for cloned weights, refreshes) its
+// own shards' networks, so nothing but the handoff is serial.
+func (t *Trainer) runShards(l int) {
+	tm := &t.team
+	nw := min(len(t.workers), len(tm.mb))
+	for w := l; w < nw; w += tm.lanes {
+		if !t.sharedW {
+			nn.CopyWeights(t.workers[w], t.net)
+		}
+		nn.ZeroGrads(t.workers[w].Params())
+		t.workerShard(t.workers[w], &t.wscratch[w], tm.batch, tm.mb, w, nw)
+	}
+}
+
 // minibatch computes PPO gradients for one minibatch, sharded across the
 // gradient workers (worker w takes samples w, w+nw, … of the minibatch,
 // preserving the reduction order of the per-sample implementation), then
@@ -572,48 +704,21 @@ func (t *Trainer) update(batch []transition) (policyLoss, valueLoss float64) {
 //
 // The shard count is fixed by cfg.Workers (it is part of the gradient
 // reduction grouping, so it must not depend on the machine), but shard
-// *execution* adapts to the compute-token pool: extra shards run on
-// goroutines only when spare tokens exist, and inline on the caller
-// otherwise — identical results either way, and a saturated machine
-// (every token held by campaign workers) runs everything inline with
-// zero scheduling overhead.
+// *execution* runs on the update's lane team, whose size follows the
+// compute tokens free when the update began: shard w runs on lane
+// w mod lanes, and the shard gradients are summed into the master in
+// ascending w whichever lane produced them — identical results for
+// every team size, and a saturated machine (every token held by
+// campaign workers) runs every shard inline on the caller.
 func (t *Trainer) minibatch(batch []transition, mb []int) (policyLoss, valueLoss float64) {
-	nw := len(t.workers)
-	if nw > len(mb) {
-		nw = len(mb)
-	}
+	nw := min(len(t.workers), len(mb))
 	if t.sharedW {
 		// One transpose-scratch refresh on the master covers every
 		// weight-aliased shard clone (GradSharer contract).
 		t.net.(nn.GradSharer).SyncSharedScratch()
 	}
-	for w := 0; w < nw; w++ {
-		if !t.sharedW {
-			nn.CopyWeights(t.workers[w], t.net)
-		}
-		nn.ZeroGrads(t.workers[w].Params())
-	}
-	var wg sync.WaitGroup
-	t.inlineW = t.inlineW[:0]
-	for w := 1; w < nw; w++ {
-		if nn.TryAcquireExtraToken() {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer nn.ReleaseComputeToken()
-				t.workerShard(t.workers[w], &t.wscratch[w], batch, mb, w, nw)
-			}(w)
-		} else {
-			t.inlineW = append(t.inlineW, w)
-		}
-	}
-	if nw > 0 {
-		t.workerShard(t.workers[0], &t.wscratch[0], batch, mb, 0, nw)
-	}
-	for _, w := range t.inlineW {
-		t.workerShard(t.workers[w], &t.wscratch[w], batch, mb, w, nw)
-	}
-	wg.Wait()
+	t.team.batch, t.team.mb = batch, mb
+	t.handoff()
 	nn.ZeroGrads(t.net.Params())
 	for w := 0; w < nw; w++ {
 		nn.AddGrads(t.net.Params(), t.workers[w].Params())
