@@ -22,4 +22,7 @@ func axpy1Vec(y, w []float64, c float64)
 //go:noescape
 func adamVec(val, grad, m, v []float64, k *[8]float64)
 
+//go:noescape
+func tanhVec(y, x []float64, miss []uint8)
+
 func cpuSupportsAVX() bool

@@ -243,6 +243,84 @@ adone:
 	VZEROUPPER
 	RET
 
+// tanhVec constants: math.Tanh's rational-branch coefficients (tanhP,
+// tanhQ in $GOROOT/src/math/tanh.go) as exact bit patterns, the branch
+// bound 0.625 and the sign-clearing mask.
+DATA tanhK<>+0(SB)/8, $0xbfeedc5baafd6f4b  // P0 = -9.64399179425052238628e-1
+DATA tanhK<>+8(SB)/8, $0xc058d26a0e26682d  // P1 = -9.92877231001918586564e1
+DATA tanhK<>+16(SB)/8, $0xc0993ac030580563 // P2 = -1.61468768441708447952e3
+DATA tanhK<>+24(SB)/8, $0x405c33f28a581b86 // Q0 = 1.12811678491632931402e2
+DATA tanhK<>+32(SB)/8, $0x40a176fa0e5535fa // Q1 = 2.23548839060100448583e3
+DATA tanhK<>+40(SB)/8, $0x40b2ec102442040c // Q2 = 4.84406305325125486048e3
+DATA tanhK<>+48(SB)/8, $0x3fe4000000000000 // 0.625
+DATA tanhK<>+56(SB)/8, $0x7fffffffffffffff // |x| mask
+GLOBL tanhK<>(SB), RODATA|NOPTR, $64
+
+// func tanhVec(y, x []float64, miss []uint8)
+// y[j] = math.Tanh(x[j]) for every lane with 0 < |x[j]| < 0.625, by the
+// rational branch of math.tanh in its exact IEEE operation order:
+//
+//	s = x·x
+//	num = (P0·s + P1)·s + P2
+//	den = ((s + Q0)·s + Q1)·s + Q2
+//	y = x + ((x·s)·num)/den
+//
+// Every other lane (±0, |x| ≥ 0.625, ±Inf, NaN) gets y[j] = x[j]
+// unchanged and its bit set in miss[j/4] (bit j%4); the caller finishes
+// those lanes with scalar math.Tanh. len(x) == len(y) must be a multiple
+// of 4 and len(miss) ≥ len(x)/4. y and x may alias.
+TEXT ·tanhVec(SB), NOSPLIT, $0-72
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ miss_base+48(FP), DX
+	VBROADCASTSD tanhK<>+0(SB), Y8
+	VBROADCASTSD tanhK<>+8(SB), Y9
+	VBROADCASTSD tanhK<>+16(SB), Y10
+	VBROADCASTSD tanhK<>+24(SB), Y11
+	VBROADCASTSD tanhK<>+32(SB), Y12
+	VBROADCASTSD tanhK<>+40(SB), Y13
+	VBROADCASTSD tanhK<>+48(SB), Y14
+	VBROADCASTSD tanhK<>+56(SB), Y15
+	VXORPD Y7, Y7, Y7
+	SHRQ $2, CX
+	JZ   tdone
+
+tloop:
+	VMOVUPD (SI), Y0
+	VANDPD  Y15, Y0, Y1
+	VCMPPD  $0x1e, Y7, Y1, Y2 // |x| > 0 (ordered: false for NaN)
+	VCMPPD  $0x11, Y14, Y1, Y1 // |x| < 0.625 (ordered: false for NaN)
+	VANDPD  Y2, Y1, Y1
+	VMOVMSKPD Y1, AX
+	XORL    $15, AX
+	MOVB    AX, (DX)
+	VMULPD  Y0, Y0, Y2         // s = x·x
+	VMULPD  Y2, Y8, Y3         // num = P0·s
+	VADDPD  Y9, Y3, Y3         //     + P1
+	VMULPD  Y2, Y3, Y3         //     ·s
+	VADDPD  Y10, Y3, Y3        //     + P2
+	VADDPD  Y11, Y2, Y4        // den = s + Q0
+	VMULPD  Y2, Y4, Y4         //     ·s
+	VADDPD  Y12, Y4, Y4        //     + Q1
+	VMULPD  Y2, Y4, Y4         //     ·s
+	VADDPD  Y13, Y4, Y4        //     + Q2
+	VMULPD  Y2, Y0, Y5         // r = x·s
+	VMULPD  Y3, Y5, Y5         //     ·num
+	VDIVPD  Y4, Y5, Y5         //     /den
+	VADDPD  Y5, Y0, Y5         // x + r
+	VBLENDVPD Y1, Y5, Y0, Y5   // handled lanes take r, the rest keep x
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	INCQ    DX
+	DECQ    CX
+	JNZ     tloop
+
+tdone:
+	VZEROUPPER
+	RET
+
 // func cpuSupportsAVX() bool
 // CPUID leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX), then XGETBV XCR0
 // bits 1|2 (SSE and YMM state enabled by the OS).

@@ -25,3 +25,7 @@ func axpy1Vec(y, w []float64, c float64) {
 func adamVec(val, grad, m, v []float64, k *[8]float64) {
 	panic("nn: vector kernel called without hardware support")
 }
+
+func tanhVec(y, x []float64, miss []uint8) {
+	panic("nn: vector kernel called without hardware support")
+}

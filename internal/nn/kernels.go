@@ -23,12 +23,17 @@ package nn
 //     pre-transposed weight copy, keeping four accumulators in
 //     registers. Without vector kernels this beats the scalar axpy on
 //     tall dense batches (dotFormMinRows); with them the axpy form wins
-//     everywhere, so the dot form is the portable fallback.
+//     on every layer except narrow ones (Out < narrowOut, the policy and
+//     value heads), whose output rows are too short to vectorize.
 //   - backward: dX = dY·Wᵀ reuses the transposed weight copy in axpy
 //     form (unit-stride rows of Wᵀ, vector-kernel friendly) when the
 //     batch is tall, and four independent dot-product chains otherwise;
 //     dW += XᵀdY folds sample rows in blocks of four with the same
-//     r-ascending per-element order as the row-by-row fold.
+//     r-ascending per-element order as the row-by-row fold; narrow
+//     layers fold into a transposed dW instead (Linear.accDWNarrow).
+//   - tanh: tanhVec evaluates math.Tanh's rational branch on four lanes
+//     in its exact IEEE operation order and flags the lanes math.Tanh
+//     must finish (tanhSlice).
 
 // dotFormMinRows is the batch height at which the dense layers switch
 // to the transposed dot-form kernels when vector kernels are
@@ -36,6 +41,13 @@ package nn
 // over the blocked axpy (minibatch shards and rollout lockstep batches
 // stay on axpy).
 const dotFormMinRows = 64
+
+// narrowOut bounds the output width of narrow layers (the policy and
+// value heads): with vector kernels their forward runs the dot form and
+// their dW fold runs transposed (Linear.accDWNarrow). The axpy kernels
+// vectorize across output elements, so an output row under 8 wide costs
+// one kernel call per four inputs on a vector of at most 4 elements.
+const narrowOut = 8
 
 // dxAxpyMinRows is the batch height at which the backward input
 // gradient switches from the dot form to the transposed axpy form.

@@ -68,26 +68,87 @@ func bitsEqualSlice(t *testing.T, name string, a, b []float64) {
 	}
 }
 
+// zeroUnitMLP is the production-shaped net (ObsDim 60, 4 actions,
+// [64, 64]) rigged so last-hidden unit 0 is exactly zero on every row
+// whose observation feature 0 is zero: feature 0 alone feeds trunk unit
+// 0, which alone feeds last-hidden unit 0, all biases zero. Batches of
+// testObsBatch then mix zero-free rows with rows holding an exact zero
+// hidden activation, the narrow heads' zero-skip fallback.
+func zeroUnitMLP(seed int64) *MLPPolicy {
+	net := NewMLP(MLPConfig{ObsDim: 60, Actions: 4, Seed: seed})
+	for _, l := range net.trunk {
+		for i := 0; i < l.In; i++ {
+			l.W.Data[i*l.Out] = 0
+		}
+		l.W.Data[0] = 0.5
+		l.B[0] = 0
+	}
+	return net
+}
+
 // TestVectorKernelsMatchPureGo pins the AVX micro-kernels to the
 // pure-Go blocked kernels bit-for-bit across a full forward, backward,
-// and optimizer step.
+// and optimizer step, at the production head widths too.
 func TestVectorKernelsMatchPureGo(t *testing.T) {
 	if !useVecKernels {
 		t.Skip("no vector kernels on this machine")
 	}
-	rng := rand.New(rand.NewSource(3))
-	X := testObsBatch(rng, 33, 64)
-
-	vecL, vecV, vecP := runBatchPass(mlpForKernels(9), X)
-	useVecKernels = false
-	goL, goV, goP := runBatchPass(mlpForKernels(9), X)
-	useVecKernels = true
-
-	bitsEqualSlice(t, "logits", vecL.Data, goL.Data)
-	bitsEqualSlice(t, "values", vecV, goV)
-	for i := range vecP {
-		bitsEqualSlice(t, "params", vecP[i], goP[i])
+	nets := []struct {
+		name string
+		make func() *MLPPolicy
+	}{
+		{"obs64-act11", func() *MLPPolicy { return mlpForKernels(9) }},
+		{"obs60-act4", func() *MLPPolicy { return NewMLP(MLPConfig{ObsDim: 60, Actions: 4, Seed: 9}) }},
+		{"obs60-act5", func() *MLPPolicy { return NewMLP(MLPConfig{ObsDim: 60, Actions: 5, Seed: 9}) }},
+		{"obs60-act4-zero-unit", func() *MLPPolicy { return zeroUnitMLP(9) }},
 	}
+	for _, n := range nets {
+		rng := rand.New(rand.NewSource(3))
+		X := testObsBatch(rng, 33, n.make().ObsDim())
+
+		vecL, vecV, vecP := runBatchPass(n.make(), X)
+		useVecKernels = false
+		goL, goV, goP := runBatchPass(n.make(), X)
+		useVecKernels = true
+
+		bitsEqualSlice(t, n.name+" logits", vecL.Data, goL.Data)
+		bitsEqualSlice(t, n.name+" values", vecV, goV)
+		for i := range vecP {
+			bitsEqualSlice(t, n.name+" params", vecP[i], goP[i])
+		}
+	}
+}
+
+// TestNarrowBackwardKeepsZeroSkip pins the narrow dW fold to the axpy
+// form where skipping a zero input is observable: a -0 accumulator
+// stays -0 only if 0·dY is never added, and Inf·0 must not turn an
+// untouched element into NaN.
+func TestNarrowBackwardKeepsZeroSkip(t *testing.T) {
+	if !useVecKernels {
+		t.Skip("no vector kernels on this machine")
+	}
+	run := func() []float64 {
+		l := NewLinear("head", 8, 4, rand.New(rand.NewSource(1)))
+		for i := range l.dW.Data {
+			l.dW.Data[i] = math.Copysign(0, -1)
+		}
+		rng := rand.New(rand.NewSource(2))
+		X, dY := randBatch(rng, 9, 8), randBatch(rng, 9, 4)
+		for r := 0; r < X.R; r++ {
+			X.Data[r*8+3] = 0 // column 3 never contributes: dW row 3 stays -0
+			if r%2 == 0 {
+				X.Data[r*8+r%8] = 0
+			}
+		}
+		dY.Data[2*4+1] = math.Inf(1) // row 2 holds zeros at inputs 2 and 3
+		l.BackwardRowsInto(X, dY, nil)
+		return l.dW.Data
+	}
+	vec := run()
+	useVecKernels = false
+	ref := run()
+	useVecKernels = true
+	bitsEqualSlice(t, "dW", vec, ref)
 }
 
 // TestKernelWorkerCountInvariance pins batched results across kernel
@@ -243,4 +304,69 @@ func TestAdamVectorMatchesScalar(t *testing.T) {
 		bitsEqualSlice(t, "m", m, m2)
 		bitsEqualSlice(t, "v", v, v2)
 	}
+}
+
+// tanhInputs collects the inputs TanhInto must reproduce bit-for-bit:
+// special values, subnormals, the 0.625 branch bound and the
+// saturation bound with their neighbours, random bit patterns, and
+// normal draws at trunk pre-activation scales.
+func tanhInputs() []float64 {
+	xs := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64, 44.02, -44.02,
+	}
+	for _, b := range []float64{0.625, 0.5 * 8.8029691931113054295988e+01, 1} {
+		for _, v := range []float64{b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1))} {
+			xs = append(xs, v, -v)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 1<<20; i++ {
+		xs = append(xs, math.Float64frombits(rng.Uint64()))
+	}
+	for _, scale := range []float64{0.3, 1, 3} {
+		for i := 0; i < 1<<14; i++ {
+			xs = append(xs, scale*rng.NormFloat64())
+		}
+	}
+	return xs
+}
+
+func checkTanhInto(t *testing.T, xs []float64) {
+	t.Helper()
+	want := make([]float64, len(xs))
+	for i, v := range xs {
+		want[i] = math.Tanh(v)
+	}
+	Y := NewMat(1, len(xs))
+	TanhInto(&Mat{R: 1, C: len(xs), Data: xs}, Y)
+	bitsEqualSlice(t, "tanh", Y.Data, want)
+	// Every length 0–9 at every offset of the special values, so the
+	// tail loop and partially flagged blocks run.
+	for n := 0; n <= 9; n++ {
+		for off := 0; off+n <= 40; off++ {
+			y := make([]float64, n)
+			TanhInto(&Mat{R: 1, C: n, Data: xs[off : off+n]}, &Mat{R: 1, C: n, Data: y})
+			bitsEqualSlice(t, "tanh short", y, want[off:off+n])
+		}
+	}
+	inPlace := append([]float64(nil), xs...)
+	M := &Mat{R: 1, C: len(inPlace), Data: inPlace}
+	TanhInto(M, M)
+	bitsEqualSlice(t, "tanh in place", inPlace, want)
+}
+
+// TestTanhIntoMatchesMathTanh pins TanhInto to math.Tanh bit-for-bit,
+// on the vector kernel and on the pure-Go path.
+func TestTanhIntoMatchesMathTanh(t *testing.T) {
+	xs := tanhInputs()
+	checkTanhInto(t, xs)
+	if !useVecKernels {
+		return
+	}
+	useVecKernels = false
+	defer func() { useVecKernels = true }()
+	checkTanhInto(t, xs)
 }

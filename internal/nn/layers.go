@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -20,6 +21,7 @@ type Linear struct {
 	name    string
 
 	wt       []float64 // lazily sized Out×In transpose scratch (exclusive use)
+	dwt      *Mat      // lazily sized Out×In dW accumulator of narrow layers
 	wtExt    bool      // wt aliases the master's copy, refreshed externally
 	sparseIn bool      // inputs are mostly zero: prefer the axpy kernels
 }
@@ -111,10 +113,17 @@ func (l *Linear) syncWt() {
 
 // dotForm reports whether a batch of r rows should run the transposed
 // dot-form kernels: without vector kernels, tall dense batches amortize
-// the per-call transpose; with them the (vectorized) axpy form wins
-// everywhere. Sparse-input layers always stay on axpy.
+// the per-call transpose; with them the (vectorized) axpy form wins on
+// every layer except narrow ones (see narrowOut). Sparse-input layers
+// always stay on axpy.
 func (l *Linear) dotForm(r int) bool {
-	return !useVecKernels && r >= dotFormMinRows && !l.sparseIn
+	if l.sparseIn {
+		return false
+	}
+	if useVecKernels {
+		return l.Out < narrowOut
+	}
+	return r >= dotFormMinRows
 }
 
 // ApplyBatchInto computes Y = XW + b row by row in Apply's bias-first
@@ -246,11 +255,64 @@ func (l *Linear) BackwardPartInto(X, dY, dX, dWpart *Mat) {
 // sample — and writes dX into the caller-owned matrix. The batched MLP
 // path uses it to reproduce the per-sample training trajectory exactly.
 func (l *Linear) BackwardRowsInto(X, dY, dX *Mat) {
-	matMulATBAcc(l.dW, X, dY)
+	if X.C != l.In || dY.C != l.Out || X.R != dY.R {
+		panic(fmt.Sprintf("nn: %s backward shapes X %dx%d dY %dx%d, want Bx%d and Bx%d",
+			l.name, X.R, X.C, dY.R, dY.C, l.In, l.Out))
+	}
+	if useVecKernels && l.Out < narrowOut {
+		l.accDWNarrow(X, dY)
+	} else {
+		matMulATBAcc(l.dW, X, dY)
+	}
 	l.backwardBias(dY)
 	if dX != nil {
 		l.backwardDX(dY, dX)
 	}
+}
+
+// accDWNarrow is matMulATBAcc(l.dW, X, dY) for narrow layers, whose
+// In×Out dW rows are too short for the axpy kernels: dW is transposed
+// into l.dwt, every sample row folds in as dWᵀ[j,:] += dY[r,j]·X[r,:]
+// with unit-stride kernels over In, and the result is transposed back.
+// Per element the additions stay r-ascending with the same products.
+func (l *Linear) accDWNarrow(X, dY *Mat) {
+	in, out := l.In, l.Out
+	dwt := EnsureMat(&l.dwt, out, in)
+	transposeInto(dwt.Data, l.dW)
+	for r := 0; r < X.R; r++ {
+		accDWtRow(dwt, X.Data[r*in:(r+1)*in], dY.Data[r*out:(r+1)*out])
+	}
+	transposeInto(l.dW.Data, dwt)
+}
+
+// accDWtRow folds one sample row into the transposed accumulator:
+// dwt[j,:] += dy[j]·x, skipping zero inputs as the axpy form does. A
+// row holding an exact zero takes the scalar loop, because adding dy·0
+// is observable (-0 becomes +0, Inf·0 is NaN).
+func accDWtRow(dwt *Mat, x, dy []float64) {
+	if !hasZero(x) {
+		for j, c := range dy {
+			axpy1Span(dwt.Row(j), x, c)
+		}
+		return
+	}
+	for j, c := range dy {
+		row := dwt.Row(j)[:len(x)]
+		for i, xv := range x {
+			if xv != 0 {
+				row[i] += c * xv
+			}
+		}
+	}
+}
+
+func hasZero(xs []float64) bool {
+	for _, v := range xs {
+		if v == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // backwardBias accumulates dB += Σrows(dY).
@@ -270,10 +332,38 @@ func Tanh(X *Mat) *Mat {
 	return Y
 }
 
-// TanhInto applies tanh elementwise into Y (X and Y may alias).
-func TanhInto(X, Y *Mat) {
-	for i, v := range X.Data {
-		Y.Data[i] = math.Tanh(v)
+// TanhInto applies tanh elementwise into Y (X and Y may alias). Every
+// element is bit-identical to math.Tanh.
+func TanhInto(X, Y *Mat) { tanhSlice(Y.Data, X.Data) }
+
+// tanhChunk is the element count per tanhVec call: its miss masks (one
+// byte per 4 elements) live in a stack array of tanhChunk/4 bytes.
+const tanhChunk = 256
+
+// tanhSlice writes y[i] = math.Tanh(x[i]) for every i < len(x). With
+// vector kernels, tanhVec evaluates math.Tanh's rational branch
+// (0 < |x| < 0.625, most trunk pre-activations) four lanes at a time in
+// the scalar code's exact IEEE operation order and flags the remaining
+// lanes, which get scalar math.Tanh here.
+func tanhSlice(y, x []float64) {
+	y = y[:len(x)]
+	i := 0
+	if useVecKernels {
+		var miss [tanhChunk / 4]uint8
+		for n := len(x) &^ 3; i < n; {
+			m := min(n-i, tanhChunk)
+			tanhVec(y[i:i+m], x[i:i+m], miss[:m/4])
+			for b, mask := range miss[:m/4] {
+				for ; mask != 0; mask &= mask - 1 {
+					k := i + 4*b + bits.TrailingZeros8(mask)
+					y[k] = math.Tanh(x[k])
+				}
+			}
+			i += m
+		}
+	}
+	for ; i < len(x); i++ {
+		y[i] = math.Tanh(x[i])
 	}
 }
 

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // PolicyValueNet is the network contract the PPO trainer consumes: a policy
 // head producing action logits and a value head estimating the state value.
@@ -121,9 +118,7 @@ func (m *MLPPolicy) Apply(obs []float64) ([]float64, float64) {
 	h := obs
 	for _, l := range m.trunk {
 		z := l.Apply(h)
-		for i, v := range z {
-			z[i] = math.Tanh(v)
-		}
+		tanhSlice(z, z)
 		h = z
 	}
 	logits := m.pHead.Apply(h)
@@ -141,9 +136,7 @@ func (m *MLPPolicy) ApplyBatch(X *Mat, logits *Mat, values []float64) {
 	for li, l := range m.trunk {
 		z := EnsureMat(&s.acts[li], X.R, l.Out)
 		l.ApplyBatchInto(h, z)
-		for i, v := range z.Data {
-			z.Data[i] = math.Tanh(v)
-		}
+		TanhInto(z, z)
 		h = z
 	}
 	m.pHead.ApplyBatchInto(h, logits)
@@ -176,9 +169,7 @@ func (m *MLPPolicy) GradBatch(X *Mat, dLogits *Mat, dValues []float64) {
 	for li, l := range m.trunk {
 		z := EnsureMat(&s.acts[li], X.R, l.Out)
 		l.ForwardInto(h, z)
-		for i, v := range z.Data {
-			z.Data[i] = math.Tanh(v)
-		}
+		TanhInto(z, z)
 		h = z
 	}
 	s.dV = Mat{R: X.R, C: 1, Data: dValues}

@@ -251,6 +251,10 @@ func TestLayerNormGradCheck(t *testing.T) {
 func batchNets() []PolicyValueNet {
 	return []PolicyValueNet{
 		NewMLP(MLPConfig{ObsDim: 12, Actions: 5, Hidden: []int{10, 8}, Seed: 11}),
+		// Production shapes: the default [64, 64] trunk with the 4- and
+		// 5-wide policy heads of the one-bit and shared-flush scenarios.
+		NewMLP(MLPConfig{ObsDim: 60, Actions: 4, Seed: 11}),
+		NewMLP(MLPConfig{ObsDim: 60, Actions: 5, Seed: 11}),
 		NewTransformer(TransformerConfig{Window: 4, Features: 3, Actions: 5, Model: 8, Heads: 2, FF: 12, Seed: 11}),
 	}
 }
@@ -316,35 +320,43 @@ func TestGradBatchMatchesPerSampleGrad(t *testing.T) {
 	}
 }
 
+// allocNetShapes are the MLP shapes the zero-alloc guards run: a wide
+// observation with 11 actions and the production head widths.
+var allocNetShapes = []struct{ obs, acts int }{{272, 11}, {60, 4}, {60, 5}}
+
 // The batched MLP forward must not allocate once its scratch is warm.
 func TestMLPApplyBatchZeroAllocs(t *testing.T) {
-	net := NewMLP(MLPConfig{ObsDim: 272, Actions: 11, Seed: 1})
-	rng := rand.New(rand.NewSource(23))
-	X := randBatch(rng, 32, 272)
-	logits := NewMat(32, 11)
-	values := make([]float64, 32)
-	net.ApplyBatch(X, logits, values) // warm scratch
-	avg := testing.AllocsPerRun(200, func() {
-		net.ApplyBatch(X, logits, values)
-	})
-	if avg != 0 {
-		t.Fatalf("ApplyBatch allocates %.2f objects per call in steady state, want 0", avg)
+	for _, sh := range allocNetShapes {
+		net := NewMLP(MLPConfig{ObsDim: sh.obs, Actions: sh.acts, Seed: 1})
+		rng := rand.New(rand.NewSource(23))
+		X := randBatch(rng, 32, sh.obs)
+		logits := NewMat(32, sh.acts)
+		values := make([]float64, 32)
+		net.ApplyBatch(X, logits, values) // warm scratch
+		avg := testing.AllocsPerRun(200, func() {
+			net.ApplyBatch(X, logits, values)
+		})
+		if avg != 0 {
+			t.Fatalf("%dx%d: ApplyBatch allocates %.2f objects per call in steady state, want 0", sh.obs, sh.acts, avg)
+		}
 	}
 }
 
 // The batched MLP backward must not allocate either.
 func TestMLPGradBatchZeroAllocs(t *testing.T) {
-	net := NewMLP(MLPConfig{ObsDim: 272, Actions: 11, Seed: 1})
-	rng := rand.New(rand.NewSource(24))
-	X := randBatch(rng, 32, 272)
-	dL := randBatch(rng, 32, 11)
-	dV := make([]float64, 32)
-	net.GradBatch(X, dL, dV) // warm scratch
-	avg := testing.AllocsPerRun(100, func() {
-		net.GradBatch(X, dL, dV)
-	})
-	if avg != 0 {
-		t.Fatalf("GradBatch allocates %.2f objects per call in steady state, want 0", avg)
+	for _, sh := range allocNetShapes {
+		net := NewMLP(MLPConfig{ObsDim: sh.obs, Actions: sh.acts, Seed: 1})
+		rng := rand.New(rand.NewSource(24))
+		X := randBatch(rng, 32, sh.obs)
+		dL := randBatch(rng, 32, sh.acts)
+		dV := make([]float64, 32)
+		net.GradBatch(X, dL, dV) // warm scratch
+		avg := testing.AllocsPerRun(100, func() {
+			net.GradBatch(X, dL, dV)
+		})
+		if avg != 0 {
+			t.Fatalf("%dx%d: GradBatch allocates %.2f objects per call in steady state, want 0", sh.obs, sh.acts, avg)
+		}
 	}
 }
 

@@ -219,6 +219,7 @@ type workerScratch struct {
 	dValues []float64
 	lp      []float64
 	probs   []float64
+	logs    []float64 // log p_k per action (0 unless p_k > 0), one row at a time
 	pl, vl  float64
 }
 
@@ -746,6 +747,7 @@ func (t *Trainer) workerShard(net nn.PolicyValueNet, ws *workerScratch, batch []
 	ws.dValues = ensureFloats(ws.dValues, m)
 	ws.lp = ensureFloats(ws.lp, acts)
 	ws.probs = ensureFloats(ws.probs, acts)
+	ws.logs = ensureFloats(ws.logs, acts)
 	ws.pl, ws.vl = 0, 0
 	for row, k := 0, w; k < len(mb); row, k = row+1, k+nw {
 		copy(X.Row(row), batch[mb[k]].obs)
@@ -776,7 +778,16 @@ func (t *Trainer) workerShard(net nn.PolicyValueNet, ws *workerScratch, batch []
 		}
 
 		// Entropy bonus: L -= entCoef·H; dH/dlogit_k = -p_k(log p_k + H).
-		h := nn.Entropy(probs)
+		// One math.Log per action serves both H (nn.Entropy's sum, in
+		// its order) and the gradient.
+		h := 0.0
+		for k, p := range probs {
+			ws.logs[k] = 0
+			if p > 0 {
+				ws.logs[k] = math.Log(p)
+				h -= p * ws.logs[k]
+			}
+		}
 
 		// Value loss: 0.5·(v - ret)².
 		vErr := ws.values[row] - tr.ret
@@ -792,7 +803,7 @@ func (t *Trainer) workerShard(net nn.PolicyValueNet, ws *workerScratch, batch []
 			}
 			drow[k] = dLdLogp * (ind - probs[k])
 			// Entropy term: subtract entCoef · dH/dlogit.
-			drow[k] += t.curEnt * probs[k] * (logOrZero(probs[k]) + h)
+			drow[k] += t.curEnt * probs[k] * (ws.logs[k] + h)
 			drow[k] /= batchSize
 		}
 		ws.dValues[row] = t.cfg.VfCoef * vErr / batchSize
@@ -808,13 +819,6 @@ func clip(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-func logOrZero(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return math.Log(p)
 }
 
 // Train runs epochs until the greedy policy (deterministic replay) meets
